@@ -104,7 +104,7 @@ func NewBatcher[T Real](p *Pool[T], cfg BatcherConfig) (*Batcher[T], error) {
 		MaxQueuedFlights: cfg.MaxQueuedFlights,
 		Clock:            cfg.Clock,
 		ServiceTime: func(n int) (time.Duration, bool) {
-			return p.inner.ServiceTimeMega(maxBatch, n)
+			return p.ServiceTimeMega(maxBatch, n)
 		},
 		Solve: p.SolveMegabatch,
 	})

@@ -1,16 +1,18 @@
-// Command tridserve exposes the overload-safe solver pool over HTTP:
-// a JSON solve endpoint with typed overload/deadline rejections, plus
-// health and stats endpoints reporting the circuit breaker and queue
-// state. It is the serving-layer demonstrator: many concurrent clients
-// multiplex onto a bounded set of warmed solvers, excess load fails
-// fast with 503 instead of collapsing latency, and a degrading device
-// trips traffic over to the host pivoting fallback.
+// Command tridserve serves the solver over HTTP through the fleet
+// control plane: -fleet N device failure domains (default 1), each an
+// independent overload-safe solver pool, behind one JSON front-end.
+// Many concurrent clients multiplex onto a bounded set of warmed
+// solvers per device, excess load fails fast with 503 instead of
+// collapsing latency, a degrading device trips its traffic over to the
+// host pivoting fallback, and a dying device is cordoned while its
+// requests re-route. A one-device fleet is the plain serving pool; the
+// same routes, endpoints and flags apply for any device count.
 //
-//	tridserve                          # serve on :8437
-//	tridserve -capacity 4 -queue 16    # bigger pool
+//	tridserve                          # one device, serve on :8437
+//	tridserve -capacity 4 -queue 16    # bigger pool per device
 //	tridserve -warm 64:1024,16:4096    # pre-build shapes at startup
 //	tridserve -selftest                # no listener: end-to-end self-check
-//	tridserve -fleet 3                 # 3-device fleet behind one front-end
+//	tridserve -fleet 3                 # 3 device failure domains
 //	tridserve -scenario death.yaml     # replay a fleet scenario, exit 0/1
 //	tridserve -batch 64                # coalesce small requests into
 //	                                   # 64-system megabatches
@@ -18,29 +20,26 @@
 //	                                   # all devices (survives device
 //	                                   # death mid-solve)
 //
-// Endpoints:
+// Endpoints, served for any device count:
 //
-//	POST /solve    {"m","n","lower","diag","upper","rhs","timeout_ms"}
-//	               -> 200 {"x","route","wait_ns","wall_ns"}
-//	               -> 400 invalid input, 503 overloaded/draining/no
-//	                  device (every 503 carries a Retry-After — from the
-//	                  pool's service-time estimate where one exists, a
-//	                  conservative default otherwise), 504 deadline/
-//	                  cancelled, 500 faulted
-//	GET  /healthz  200 while serving (breaker state in the body; a
-//	               tripped breaker is "degraded" but still healthy —
-//	               the fallback serves), 503 once draining
-//	GET  /stats    pool statistics snapshot, including per-shape queue
-//	               depths and service-time estimates (JSON)
-//
-// With -fleet N the process serves through the multi-device control
-// plane instead of a single pool: every device is an independent
-// failure domain with its own warmed pool, requests route to the
-// least-loaded healthy device and re-route when a device dies beneath
-// them, and a ticker runs the cordon/drain/autoscale control loop.
-// /solve responses then also carry "device" and "attempts", and two
-// endpoints replace /stats:
-//
+//	POST /solve         {"m","n","lower","diag","upper","rhs","timeout_ms"}
+//	                    -> 200 {"x","route","wait_ns","wall_ns","device",
+//	                       "attempts"}
+//	                    -> 400 invalid input, 503 overloaded/draining/no
+//	                       device (every 503 carries a Retry-After — from
+//	                       the least-loaded device's service-time estimate
+//	                       where one exists, a conservative default
+//	                       otherwise), 504 deadline/cancelled, 500
+//	                       faulted, 500 "nonfinite" when x has no JSON
+//	                       encoding (a non-finite entry)
+//	GET  /healthz       200 "ok"; 200 "degraded" — still healthy, the
+//	                    fallback serves — when no device is Active or
+//	                    every servable device's breaker has tripped;
+//	                    503 "no-device" when nothing is servable, 503
+//	                    once draining
+//	GET  /stats         the live device pools' statistics summed,
+//	                    including per-shape queue depths, service-time
+//	                    estimates and "nonfinite_responses" (JSON)
 //	GET  /fleet         fleet snapshot: per-device state machine
 //	                    position, census, control-plane counters
 //	POST /fleet/inject  {"device","kind","xid","temp","message"} —
@@ -48,26 +47,31 @@
 //	                    "thermal", "ecc-corrected", "ecc-uncorrected",
 //	                    "healed"); applied by the next tick
 //
-// With -fleet N -distmin K, /solve requests whose row count n is at
-// least K are solved *across* the fleet instead of on one device: the
-// system is slab-partitioned over every servable device's share of the
-// simulated interconnect, a reduced interface system couples the slabs,
-// and a device dying mid-solve surfaces a health event (cordoning it at
-// the next tick) while its slab migrates to a survivor — the response
-// is bitwise identical either way. Distributed responses carry route
-// "distributed" with "dist_devices", "dist_deaths" and
-// "dist_migrations".
+// Requests route to the least-loaded healthy device and re-route when
+// a device dies beneath them; a ticker runs the cordon/drain/autoscale
+// control loop. POST /solve picks the route from the request's shape,
+// in this order:
 //
-// With -batch N (both modes) concurrent small /solve requests of the
-// same row count are coalesced into interleaved megabatches of up to
-// N systems and solved through one pooled megabatch solver lease,
-// flushing on a size watermark or a deadline informed by the pool's
-// service-time estimate (-batchwait bounds the wait). Responses carry
-// "flush_size" and "rescued"; per-system guard failures in a shared
-// megabatch fail only the requests that submitted them, and a full
-// coalescing queue sheds with 503 like any other overload. /stats
-// (and /fleet) then include a "batcher" section with queue depths and
-// flush-cause counters.
+//   - distributed (-distmin K, n >= K): the system is slab-partitioned
+//     over every servable device's share of the simulated interconnect,
+//     a reduced interface system couples the slabs, and a device dying
+//     mid-solve surfaces a health event (cordoning it at the next tick)
+//     while its slab migrates to a survivor — the response is bitwise
+//     identical either way. Responses carry route "distributed", the
+//     measured "wall_ns", the simulated makespan "modeled_ns", and
+//     "dist_devices", "dist_deaths" and "dist_migrations".
+//   - coalesced (-batch N, m <= N): concurrent small requests of the
+//     same row count are coalesced into interleaved megabatches of up
+//     to N systems and solved through one pooled megabatch solver
+//     lease, flushing on a size watermark or a deadline informed by the
+//     fleet's megabatch service-time estimate (-batchwait bounds the
+//     wait). Responses carry "flush_size" and "rescued"; per-system
+//     guard failures in a shared megabatch fail only the requests that
+//     submitted them, and a full coalescing queue sheds with 503 like
+//     any other overload. /stats and /fleet then include a "batcher"
+//     section with queue depths and flush-cause counters.
+//   - per-request: one device's pool serves the batch; route "device"
+//     or "fallback".
 //
 // With -scenario FILE the process runs no listener at all: it replays
 // the YAML fleet scenario (load phases, injected health events,
@@ -77,8 +81,9 @@
 // The -selftest mode runs the whole stack in-process against a real
 // HTTP listener on a loopback port: correctness vs the reference CPU
 // solve, fail-fast 503s under 4x-capacity offered load, breaker trip
-// and recovery under injected faults, and graceful drain. It exits 0
-// on success and 1 on failure, and is wired into CI under -race.
+// and recovery under injected faults, graceful drain, and a
+// distributed solve surviving a device death. It exits 0 on success
+// and 1 on failure, and is wired into CI under -race.
 package main
 
 import (
@@ -87,6 +92,9 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"gputrid"
+	"gputrid/internal/fleet"
 )
 
 func main() {
@@ -94,15 +102,15 @@ func main() {
 		addr      = flag.String("addr", ":8437", "listen address")
 		capacity  = flag.Int("capacity", 2, "warmed solvers per shape")
 		queue     = flag.Int("queue", 0, "admission queue per shape (0 = 4x capacity)")
-		shapes    = flag.Int("maxshapes", 8, "max distinct warmed shapes")
+		maxShapes = flag.Int("maxshapes", 8, "max distinct warmed shapes")
 		warm      = flag.String("warm", "", "comma list of M:N shapes to pre-build")
 		selftest  = flag.Bool("selftest", false, "run the end-to-end self-check and exit")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "overall selftest deadline (the -race selftest needs ~1m)")
-		fleetN    = flag.Int("fleet", 0, "serve through a fleet of N device failure domains (0 = single pool)")
+		fleetN    = flag.Int("fleet", 1, "serve through a fleet of N device failure domains")
 		scenFile  = flag.String("scenario", "", "replay a YAML fleet scenario and exit 0/1 on its assertions")
 		batchN    = flag.Int("batch", 0, "coalesce concurrent small requests into megabatches of up to N systems (0 = off)")
 		batchWait = flag.Duration("batchwait", 2*time.Millisecond, "max time a coalesced request waits for company")
-		distMin   = flag.Int("distmin", 0, "fleet mode: solve requests with n >= this across all devices (0 = off)")
+		distMin   = flag.Int("distmin", 0, "solve requests with n >= this across all devices (0 = off)")
 	)
 	flag.Parse()
 
@@ -125,15 +133,19 @@ func main() {
 		return
 	}
 
-	if *fleetN > 0 {
-		if err := serveFleet(*addr, *fleetN, *capacity, *queue, *shapes, *warm, *batchN, *batchWait, *distMin); err != nil {
-			fmt.Fprintf(os.Stderr, "tridserve: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	shapes, err := parseWarmShapes(*warm)
+	if err == nil {
+		err = serve(*addr, fleet.Config{
+			Devices: *fleetN,
+			Pool: gputrid.PoolConfig{
+				Capacity:   *capacity,
+				QueueLimit: *queue,
+				MaxShapes:  *maxShapes,
+			},
+			WarmShapes: shapes,
+		}, *batchN, *batchWait, *distMin)
 	}
-
-	if err := serve(*addr, *capacity, *queue, *shapes, *warm, *batchN, *batchWait); err != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "tridserve: %v\n", err)
 		os.Exit(1)
 	}

@@ -35,15 +35,29 @@ func runSelfTest(ctx context.Context) error {
 		Kinds: []gputrid.DeviceFaultKind{gputrid.FaultAbort},
 		Gate:  faultsArmed.Load,
 	}
-	srv := newServer(gputrid.PoolConfig{
-		Capacity:   1,
-		QueueLimit: 1,
-		Breaker: gputrid.BreakerPolicy{
-			Window: 8, TripRatio: 0.5, MinSamples: 4,
-			Cooldown: 50 * time.Millisecond, ProbeSuccesses: 2,
+	// One device, never ticked: the checks below drive the pool's own
+	// breaker, and the corrected-ECC events its fault activity feeds
+	// the fleet stay buffered instead of cordoning the only device.
+	fl, err := fleet.New(fleet.Config{
+		Devices: 1,
+		Pool: gputrid.PoolConfig{
+			Capacity:   1,
+			QueueLimit: 1,
+			Breaker: gputrid.BreakerPolicy{
+				Window: 8, TripRatio: 0.5, MinSamples: 4,
+				Cooldown: 50 * time.Millisecond, ProbeSuccesses: 2,
+			},
+			SolverOptions: []gputrid.Option{gputrid.WithFaultInjection(inj)},
 		},
-		SolverOptions: []gputrid.Option{gputrid.WithFaultInjection(inj)},
 	})
+	if err != nil {
+		return err
+	}
+	srv, err := newServer(fl, 0, 0, 0)
+	if err != nil {
+		return err
+	}
+	defer srv.close(context.Background())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -72,7 +86,7 @@ func runSelfTest(ctx context.Context) error {
 	return nil
 }
 
-// checkDistributed runs the fleet mode's -distmin path end to end over
+// checkDistributed runs the -distmin path end to end over
 // HTTP: a huge-N request routes across every device of the simulated
 // fabric, one device is armed to die on its first kernel launch of the
 // solve, and the response must still arrive — bitwise identical to the
@@ -92,8 +106,11 @@ func checkDistributed(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer fl.Close(context.Background())
-	srv := &fleetServer{fl: fl, maxTimeout: time.Minute, distMinN: 1024}
+	srv, err := newServer(fl, 0, 0, 1024)
+	if err != nil {
+		return err
+	}
+	defer srv.close(context.Background())
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -122,7 +139,7 @@ func checkDistributed(ctx context.Context) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("huge-N solve: status %d, want 200", resp.StatusCode)
 	}
-	var fr fleetSolveResponse
+	var fr solveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
 		return err
 	}
@@ -395,14 +412,13 @@ func checkBreaker(ctx context.Context, base string, armed *atomic.Bool) error {
 	}
 }
 
-// checkDrain closes the pool gracefully and verifies late requests
+// checkDrain closes the fleet gracefully and verifies late requests
 // are rejected as draining.
 func checkDrain(ctx context.Context, base string, srv *server) error {
-	srv.draining.Store(true)
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	if err := srv.pool.Close(dctx); err != nil {
-		return fmt.Errorf("pool close: %w", err)
+	if err := srv.close(dctx); err != nil {
+		return fmt.Errorf("fleet close: %w", err)
 	}
 	b := workload.Batch[float64](workload.DiagDominant, 2, 64, 3)
 	code, _, er, err := postSolve(ctx, base, requestFor(b, 0))

@@ -26,6 +26,9 @@ type Backend interface {
 	Stats() gputrid.PoolStats
 	// ServiceTime is the pool's per-shape service-time estimate.
 	ServiceTime(m, n int) (time.Duration, bool)
+	// ServiceTimeMega is the estimate of the pool's megabatch station
+	// for m-system flights of n-row systems.
+	ServiceTimeMega(m, n int) (time.Duration, bool)
 	// Breaker exposes the pool's circuit-breaker state, so the router
 	// can prefer devices whose device path is healthy.
 	Breaker() gputrid.BreakerSnapshot

@@ -209,10 +209,11 @@ func (b *drainBackend) SolveMegabatch(ctx context.Context, _ *gputrid.Megabatch[
 	}
 }
 
-func (b *drainBackend) Warm(m, n int) error                        { return nil }
-func (b *drainBackend) Stats() gputrid.PoolStats                   { return gputrid.PoolStats{} }
-func (b *drainBackend) ServiceTime(m, n int) (time.Duration, bool) { return time.Millisecond, true }
-func (b *drainBackend) Breaker() gputrid.BreakerSnapshot           { return gputrid.BreakerSnapshot{} }
+func (b *drainBackend) Warm(m, n int) error                            { return nil }
+func (b *drainBackend) Stats() gputrid.PoolStats                       { return gputrid.PoolStats{} }
+func (b *drainBackend) ServiceTime(m, n int) (time.Duration, bool)     { return time.Millisecond, true }
+func (b *drainBackend) ServiceTimeMega(m, n int) (time.Duration, bool) { return time.Millisecond, true }
+func (b *drainBackend) Breaker() gputrid.BreakerSnapshot               { return gputrid.BreakerSnapshot{} }
 func (b *drainBackend) Close(ctx context.Context) error {
 	b.once.Do(func() { close(b.drained) })
 	return nil

@@ -209,6 +209,15 @@ type Stats struct {
 	// as stragglers or flaky links.
 	DistIntegrityRetries, DistHedges, DistHedgeWins uint64
 	GrayStragglers, GrayLinkFlaky                   uint64
+
+	// Pool sums the live devices' pool snapshots: counters, queue
+	// depths and per-shape stations add up, and the breaker reports
+	// the least healthy state. With one device it is that device's
+	// snapshot.
+	Pool gputrid.PoolStats
+	// BreakerOpen counts servable devices whose breaker is not closed
+	// (open or half-open): they serve off the host fallback or probe.
+	BreakerOpen int
 }
 
 // Fleet is the control plane over N device failure domains. All
@@ -649,8 +658,53 @@ func (f *Fleet) Stats() Stats {
 		s.Devices[ld.i].QueueDepth = ps.QueueDepth
 		s.Devices[ld.i].Breaker = ps.Breaker.State
 		s.QueueDepth += ps.QueueDepth
+		if s.Devices[ld.i].State.servable() && ps.Breaker.State != gputrid.BreakerClosed {
+			s.BreakerOpen++
+		}
+		addPoolStats(&s.Pool, ps)
 	}
 	return s
+}
+
+// addPoolStats adds one device's pool snapshot into a fleet-wide sum.
+// Stations of the same shape merge; their service-time estimate is
+// the slowest device's.
+func addPoolStats(sum *gputrid.PoolStats, ps gputrid.PoolStats) {
+	sum.Shapes += ps.Shapes
+	sum.InFlight += ps.InFlight
+	sum.QueueDepth += ps.QueueDepth
+	sum.Admitted += ps.Admitted
+	sum.RejectedQueueFull += ps.RejectedQueueFull
+	sum.RejectedDeadline += ps.RejectedDeadline
+	sum.RejectedClosed += ps.RejectedClosed
+	sum.CancelledWaits += ps.CancelledWaits
+	sum.DeviceSolves += ps.DeviceSolves
+	sum.ProbeSolves += ps.ProbeSolves
+	sum.FallbackSolves += ps.FallbackSolves
+
+	b := &sum.Breaker
+	if ps.Breaker.State == gputrid.BreakerOpen || b.State == gputrid.BreakerClosed {
+		b.State = ps.Breaker.State
+	}
+	b.WindowFill += ps.Breaker.WindowFill
+	b.WindowDegraded += ps.Breaker.WindowDegraded
+	b.Trips += ps.Breaker.Trips
+	b.ProbeStreak += ps.Breaker.ProbeStreak
+
+next:
+	for _, sh := range ps.PerShape {
+		for i := range sum.PerShape {
+			acc := &sum.PerShape[i]
+			if acc.M == sh.M && acc.N == sh.N && acc.Mega == sh.Mega {
+				acc.Built += sh.Built
+				acc.Leased += sh.Leased
+				acc.QueueDepth += sh.QueueDepth
+				acc.ServiceTime = max(acc.ServiceTime, sh.ServiceTime)
+				continue next
+			}
+		}
+		sum.PerShape = append(sum.PerShape, sh)
+	}
 }
 
 // Close shuts the fleet down: Solve and Tick become no-ops, every live

@@ -12,6 +12,7 @@ import (
 	"gputrid/internal/fleet"
 	"gputrid/internal/gpusim"
 	"gputrid/internal/matrix"
+	"gputrid/internal/pool"
 )
 
 // fakeBackend is a deterministic stand-in for one device's pool.
@@ -83,9 +84,23 @@ func (b *fakeBackend) SolveMegabatch(ctx context.Context, mb *gputrid.Megabatch[
 
 func (b *fakeBackend) Warm(m, n int) error { return nil }
 func (b *fakeBackend) Stats() gputrid.PoolStats {
-	return gputrid.PoolStats{Breaker: gputrid.BreakerSnapshot{State: b.breakerState()}}
+	b.mu.Lock()
+	solves := b.solves
+	b.mu.Unlock()
+	return gputrid.PoolStats{
+		Shapes:   1,
+		Admitted: uint64(solves),
+		PerShape: []pool.ShapeStats{{M: 1, N: 8, Built: 1, ServiceTime: b.svc()}},
+		Breaker:  gputrid.BreakerSnapshot{State: b.breakerState(), Trips: 1},
+	}
 }
-func (b *fakeBackend) ServiceTime(m, n int) (time.Duration, bool) { return time.Millisecond, true }
+
+// svc is the fake's service-time estimate: distinct per device, so
+// tests can tell whose estimate the fleet read.
+func (b *fakeBackend) svc() time.Duration { return time.Duration(b.id+1) * time.Millisecond }
+
+func (b *fakeBackend) ServiceTime(m, n int) (time.Duration, bool)     { return b.svc(), true }
+func (b *fakeBackend) ServiceTimeMega(m, n int) (time.Duration, bool) { return 10 * b.svc(), true }
 func (b *fakeBackend) Breaker() gputrid.BreakerSnapshot {
 	return gputrid.BreakerSnapshot{State: b.breakerState()}
 }
@@ -658,5 +673,64 @@ func TestSolveMegabatchWeightedRouting(t *testing.T) {
 	}
 	if st := f.Stats(); st.Rerouted == 0 {
 		t.Fatal("no re-route recorded")
+	}
+}
+
+// TestServiceTimeReadsPreferredDevice pins the fleet's service-time
+// estimate to the device the router would pick next: a device serving
+// off a tripped breaker is passed over, the megabatch estimate reads
+// the same device's megabatch station, and a closed fleet has none.
+func TestServiceTimeReadsPreferredDevice(t *testing.T) {
+	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	ff := &fakeFactory{}
+	f := newTestFleet(t, fleet.Config{Devices: 2}, ff, vc)
+
+	be0 := ff.backend(0)
+	be0.mu.Lock()
+	be0.breaker = gputrid.BreakerOpen
+	be0.mu.Unlock()
+
+	if svc, ok := f.ServiceTime(1, 8, false); !ok || svc != 2*time.Millisecond {
+		t.Fatalf("ServiceTime = %v, %v; want device 1's 2ms", svc, ok)
+	}
+	if svc, ok := f.ServiceTime(64, 8, true); !ok || svc != 20*time.Millisecond {
+		t.Fatalf("mega ServiceTime = %v, %v; want device 1's 20ms", svc, ok)
+	}
+	if err := f.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if svc, ok := f.ServiceTime(1, 8, false); ok {
+		t.Fatalf("closed fleet ServiceTime = %v, want none", svc)
+	}
+}
+
+// TestStatsSumsDevicePools checks the fleet-wide pool snapshot: counters
+// add across live devices, same-shape stations merge with the slowest
+// estimate, the breaker reports the least healthy state, and
+// BreakerOpen counts the servable devices off a closed breaker.
+func TestStatsSumsDevicePools(t *testing.T) {
+	vc := fleet.NewVirtualClock(time.Unix(0, 0))
+	ff := &fakeFactory{}
+	f := newTestFleet(t, fleet.Config{Devices: 3}, ff, vc)
+	for i := 0; i < 5; i++ {
+		if _, err := f.Solve(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	be2 := ff.backend(2)
+	be2.mu.Lock()
+	be2.breaker = gputrid.BreakerOpen
+	be2.mu.Unlock()
+
+	st := f.Stats()
+	p := st.Pool
+	if p.Admitted != 5 || p.Shapes != 3 || p.Breaker.Trips != 3 {
+		t.Fatalf("admitted/shapes/trips = %d/%d/%d, want 5/3/3", p.Admitted, p.Shapes, p.Breaker.Trips)
+	}
+	if len(p.PerShape) != 1 || p.PerShape[0].Built != 3 || p.PerShape[0].ServiceTime != 3*time.Millisecond {
+		t.Fatalf("per-shape = %+v, want one merged 1x8 station, built 3, 3ms", p.PerShape)
+	}
+	if p.Breaker.State != gputrid.BreakerOpen || st.BreakerOpen != 1 {
+		t.Fatalf("breaker %v, open devices %d; want open, 1", p.Breaker.State, st.BreakerOpen)
 	}
 }

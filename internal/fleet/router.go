@@ -1,6 +1,10 @@
 package fleet
 
-import "gputrid"
+import (
+	"time"
+
+	"gputrid"
+)
 
 // pick selects the best untried servable device and marks it in the
 // caller's tried-bitmask. Selection is a strict preference order:
@@ -40,11 +44,30 @@ func (f *Fleet) pick(tried *uint64, weight int64) (*device, Backend, error) {
 		return nil, nil, ErrFleetClosed
 	}
 
+	best := f.bestLocked(*tried)
+	f.rr++
+	if best == nil {
+		return nil, nil, ErrNoDevices
+	}
+	*tried |= 1 << uint(best.id)
+
+	best.inflight.Add(weight)
+	f.offeredInterval += int(weight)
+	if cur := f.inflightTotal.Add(weight); cur > f.peakInterval {
+		f.peakInterval = cur
+	}
+	return best, best.backend, nil
+}
+
+// bestLocked returns the preferred untried servable device in pick's
+// order, scanning from the current rotation offset; nil when none is
+// left. The caller holds f.mu.
+func (f *Fleet) bestLocked(tried uint64) *device {
 	var best *device
 	var bestKey routeKey
 	for i := 0; i < len(f.devices); i++ {
 		d := f.devices[(f.rr+i)%len(f.devices)]
-		if *tried&(1<<uint(d.id)) != 0 || !d.state.servable() || d.backend == nil {
+		if tried&(1<<uint(d.id)) != 0 || !d.state.servable() || d.backend == nil {
 			continue
 		}
 		key := routeKey{
@@ -58,18 +81,30 @@ func (f *Fleet) pick(tried *uint64, weight int64) (*device, Backend, error) {
 			best, bestKey = d, key
 		}
 	}
-	f.rr++
-	if best == nil {
-		return nil, nil, ErrNoDevices
-	}
-	*tried |= 1 << uint(best.id)
+	return best
+}
 
-	best.inflight.Add(weight)
-	f.offeredInterval += int(weight)
-	if cur := f.inflightTotal.Add(weight); cur > f.peakInterval {
-		f.peakInterval = cur
+// ServiceTime returns the service-time estimate of the device the
+// router would pick next for an m×n batch — the least-loaded servable
+// one — or false when no device is servable or it has not seen the
+// shape. mega reads the device's megabatch station instead, which is
+// what coalesced flights of m systems run on.
+func (f *Fleet) ServiceTime(m, n int, mega bool) (time.Duration, bool) {
+	f.mu.Lock()
+	var be Backend
+	if !f.closed {
+		if d := f.bestLocked(0); d != nil {
+			be = d.backend
+		}
 	}
-	return best, best.backend, nil
+	f.mu.Unlock()
+	if be == nil {
+		return 0, false
+	}
+	if mega {
+		return be.ServiceTimeMega(m, n)
+	}
+	return be.ServiceTime(m, n)
 }
 
 // routeKey orders routing candidates; less = strictly preferred (full

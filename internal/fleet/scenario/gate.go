@@ -90,6 +90,10 @@ func (g *gatedBackend) ServiceTime(m, n int) (time.Duration, bool) {
 	return g.inner.ServiceTime(m, n)
 }
 
+func (g *gatedBackend) ServiceTimeMega(m, n int) (time.Duration, bool) {
+	return g.inner.ServiceTimeMega(m, n)
+}
+
 func (g *gatedBackend) Breaker() gputrid.BreakerSnapshot { return g.inner.Breaker() }
 
 func (g *gatedBackend) Close(ctx context.Context) error {

@@ -300,6 +300,13 @@ func (p *Pool[T]) ServiceTime(m, n int) (time.Duration, bool) {
 	return p.inner.ServiceTime(m, n)
 }
 
+// ServiceTimeMega returns the estimate of the megabatch station that
+// serves m-system coalesced flights of n-row systems (false before the
+// station exists). A Batcher's flush deadlines read it.
+func (p *Pool[T]) ServiceTimeMega(m, n int) (time.Duration, bool) {
+	return p.inner.ServiceTimeMega(m, n)
+}
+
 // Close gracefully drains the pool: admissions stop immediately (new
 // and queued requests fail with ErrPoolClosed), in-flight solves run
 // to completion, and when ctx expires first they are force-cancelled
