@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"os"
@@ -19,7 +18,6 @@ import (
 	"gputrid"
 	"gputrid/internal/batcher"
 	"gputrid/internal/fleet"
-	"gputrid/internal/fleet/scenario"
 	"gputrid/internal/gpusim"
 )
 
@@ -620,21 +618,6 @@ func serve(addr string, cfg fleet.Config, batchN int, batchWait time.Duration, d
 	_ = hs.Shutdown(shCtx)
 	if err := srv.close(shCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "tridserve: fleet drain: %v\n", err)
-	}
-	return nil
-}
-
-// runScenario replays one YAML fleet scenario deterministically and
-// prints its report; the exit status is the assertion verdict, which
-// is what lets CI run scenarios as smoke tests.
-func runScenario(path string) error {
-	rep, err := scenario.RunFile(path, log.New(os.Stderr, "", 0).Printf)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Summary())
-	if !rep.OK() {
-		return fmt.Errorf("scenario %s failed %d assertion(s)", rep.Scenario, len(rep.Failures))
 	}
 	return nil
 }

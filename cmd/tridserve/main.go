@@ -13,7 +13,6 @@
 //	tridserve -warm 64:1024,16:4096    # pre-build shapes at startup
 //	tridserve -selftest                # no listener: end-to-end self-check
 //	tridserve -fleet 3                 # 3 device failure domains
-//	tridserve -scenario death.yaml     # replay a fleet scenario, exit 0/1
 //	tridserve -batch 64                # coalesce small requests into
 //	                                   # 64-system megabatches
 //	tridserve -fleet 3 -distmin 4096   # huge-N requests solved across
@@ -73,11 +72,6 @@
 //   - per-request: one device's pool serves the batch; route "device"
 //     or "fallback".
 //
-// With -scenario FILE the process runs no listener at all: it replays
-// the YAML fleet scenario (load phases, injected health events,
-// assertions) deterministically on a virtual clock and exits 0 when
-// every assertion holds, 1 otherwise. See internal/fleet/scenario.
-//
 // The -selftest mode runs the whole stack in-process against a real
 // HTTP listener on a loopback port: correctness vs the reference CPU
 // solve, fail-fast 503s under 4x-capacity offered load, breaker trip
@@ -107,7 +101,6 @@ func main() {
 		selftest  = flag.Bool("selftest", false, "run the end-to-end self-check and exit")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "overall selftest deadline (the -race selftest needs ~1m)")
 		fleetN    = flag.Int("fleet", 1, "serve through a fleet of N device failure domains")
-		scenFile  = flag.String("scenario", "", "replay a YAML fleet scenario and exit 0/1 on its assertions")
 		batchN    = flag.Int("batch", 0, "coalesce concurrent small requests into megabatches of up to N systems (0 = off)")
 		batchWait = flag.Duration("batchwait", 2*time.Millisecond, "max time a coalesced request waits for company")
 		distMin   = flag.Int("distmin", 0, "solve requests with n >= this across all devices (0 = off)")
@@ -122,14 +115,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("tridserve: selftest ok")
-		return
-	}
-
-	if *scenFile != "" {
-		if err := runScenario(*scenFile); err != nil {
-			fmt.Fprintf(os.Stderr, "tridserve: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 

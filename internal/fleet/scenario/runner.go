@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,18 +80,9 @@ func (r *Report) Summary() string {
 	return sb.String()
 }
 
-// RunFile loads and runs a scenario file.
-func RunFile(path string, logf func(format string, args ...any)) (*Report, error) {
-	sc, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	return Run(sc, logf)
-}
-
-// Run replays a scenario against a real fleet on a virtual clock and
-// evaluates its assertions. logf, when non-nil, receives progress
-// lines (tests pass t.Logf, the CLI passes log.Printf).
+// Run validates a scenario, replays it against a real fleet on a
+// virtual clock and evaluates its assertions. logf, when non-nil,
+// receives progress lines (tests pass t.Logf).
 //
 // The replay is a stepped loop over Tick-sized virtual intervals. Each
 // step launches the interval's offered load asynchronously, *then*
@@ -105,7 +97,7 @@ func RunFile(path string, logf func(format string, args ...any)) (*Report, error
 // Every served response is verified bitwise against a precomputed
 // reference for its route: the hybrid device solve for device routes,
 // the host pivoting solve for breaker-fallback routes. With a
-// faults.rate armed, the injector stays one-shot (Repeat 1), which the
+// FaultRate armed, the injector stays one-shot (Repeat 1), which the
 // retry layer recovers bitwise-identically — so "zero incorrect
 // responses" holds even in fault-injecting scenarios.
 //
@@ -114,6 +106,9 @@ func RunFile(path string, logf func(format string, args ...any)) (*Report, error
 // depend on goroutine interleaving (exact reroute and rejection
 // counts) are asserted through bounds, not equality.
 func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
+	if err := sc.validate(); err != nil {
+		return nil, err
+	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -145,7 +140,7 @@ func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
 		batches[v], deviceRef[v], cpuRef[v] = b, res.X, x
 	}
 
-	// Distributed stanza: the fault-free reference is the same
+	// Distributed solves: the fault-free reference is the same
 	// distributed solve on a clean topology of the same width — the
 	// bitwise contract says deaths and migrations must reproduce these
 	// exact bits. The run's own topology arms each victim with a
@@ -186,15 +181,15 @@ func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
 		// solver's checksums and repaired, so the reference stays
 		// bitwise authoritative).
 		if g := sc.Gray; g != nil {
-			if g.Straggler >= 0 {
-				distTopo.Device(g.Straggler).SlowFactor = g.StragglerFactor
+			if s := g.Straggler; s != nil {
+				distTopo.Device(s.Device).SlowFactor = s.Factor
 			}
-			if g.Flaky >= 0 {
+			if f := g.Flaky; f != nil {
 				distTopo.Links = &gpusim.LinkInjector{
 					Seed:    sc.Seed*0x9E3779B9 + 1,
-					Rate:    g.FlakyRate,
+					Rate:    f.Rate,
 					Kinds:   []gpusim.LinkFaultKind{gpusim.LinkCorrupt},
-					Devices: []int{g.Flaky},
+					Devices: []int{f.Device},
 				}
 			}
 		}
@@ -393,7 +388,7 @@ func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
 			// (latency residue, integrity retries) must reach the
 			// detector before this tick's control loop runs — otherwise
 			// the cordon tick would depend on a goroutine race and
-			// cordoned_by assertions could not be deterministic.
+			// CordonedBy assertions could not be deterministic.
 			if sc.Gray != nil {
 				distWG.Wait()
 			}
@@ -432,7 +427,7 @@ func Run(sc *Scenario, logf func(format string, args ...any)) (*Report, error) {
 			gates.releaseAll()
 		}
 		// Record each device's first observed cordon tick — the
-		// detection-latency figure cordoned_by assertions bound.
+		// detection-latency figure CordonedBy assertions bound.
 		for _, d := range fl.Stats().Devices {
 			if _, seen := rep.CordonTicks[d.ID]; !seen && (d.State == fleet.StateCordoned || d.State == fleet.StateDead) {
 				rep.CordonTicks[d.ID] = t
@@ -484,11 +479,11 @@ func evaluate(sc *Scenario, rep *Report) {
 		fail("%d served responses were not bitwise identical to their reference", rep.Incorrect)
 	}
 	if rep.Served < a.MinServed {
-		fail("served %d < min_served %d", rep.Served, a.MinServed)
+		fail("served %d < MinServed %d", rep.Served, a.MinServed)
 	}
-	if a.rejectedSet && rep.Issued > 0 {
-		if frac := float64(rep.Rejected) / float64(rep.Issued); frac > a.MaxRejectedFrac {
-			fail("rejected %d/%d = %.3f > max_rejected_frac %.3f", rep.Rejected, rep.Issued, frac, a.MaxRejectedFrac)
+	if a.MaxRejectedFrac != nil && rep.Issued > 0 {
+		if frac := float64(rep.Rejected) / float64(rep.Issued); frac > *a.MaxRejectedFrac {
+			fail("rejected %d/%d = %.3f > MaxRejectedFrac %.3f", rep.Rejected, rep.Issued, frac, *a.MaxRejectedFrac)
 		}
 	}
 	if a.Cordons != nil && int(rep.Stats.Cordons) != *a.Cordons {
@@ -504,7 +499,7 @@ func evaluate(sc *Scenario, rep *Report) {
 		fail("scale-downs = %d < min %d", rep.Stats.ScaleDowns, a.MinScaleDowns)
 	}
 	if int(rep.Stats.Rerouted) < a.MinRerouted {
-		fail("reroutes = %d < min_rerouted %d (the failure never hit live traffic?)", rep.Stats.Rerouted, a.MinRerouted)
+		fail("reroutes = %d < MinRerouted %d (the failure never hit live traffic?)", rep.Stats.Rerouted, a.MinRerouted)
 	}
 	// Like Incorrect, a failed distributed solve is unconditionally a
 	// scenario failure: the whole point of the recovery machinery is
@@ -513,43 +508,37 @@ func evaluate(sc *Scenario, rep *Report) {
 		fail("%d distributed solves failed", rep.DistFailed)
 	}
 	if int(rep.Stats.DistSolves) < a.MinDistSolves {
-		fail("distributed solves = %d < min_dist_solves %d", rep.Stats.DistSolves, a.MinDistSolves)
+		fail("distributed solves = %d < MinDistSolves %d", rep.Stats.DistSolves, a.MinDistSolves)
 	}
 	if a.DistDeaths != nil && int(rep.Stats.DistDeaths) != *a.DistDeaths {
 		fail("distributed deaths = %d, want %d", rep.Stats.DistDeaths, *a.DistDeaths)
 	}
 	if int(rep.Stats.DistMigrations) < a.MinDistMigrations {
-		fail("distributed migrations = %d < min_dist_migrations %d", rep.Stats.DistMigrations, a.MinDistMigrations)
+		fail("distributed migrations = %d < MinDistMigrations %d", rep.Stats.DistMigrations, a.MinDistMigrations)
 	}
 	if int(rep.Stats.DistIntegrityRetries) < a.MinIntegrityRetries {
-		fail("integrity retries = %d < min_integrity_retries %d (the corruption never hit a verified transfer?)",
+		fail("integrity retries = %d < MinIntegrityRetries %d (the corruption never hit a verified transfer?)",
 			rep.Stats.DistIntegrityRetries, a.MinIntegrityRetries)
 	}
 	if int(rep.Stats.DistHedges) < a.MinHedges {
-		fail("hedges = %d < min_hedges %d (the straggler never triggered speculation?)",
+		fail("hedges = %d < MinHedges %d (the straggler never triggered speculation?)",
 			rep.Stats.DistHedges, a.MinHedges)
 	}
 	if a.MaxDistDegraded != nil && int(rep.Stats.DistDegraded) > *a.MaxDistDegraded {
-		fail("distributed degraded slabs = %d > max_dist_degraded %d", rep.Stats.DistDegraded, *a.MaxDistDegraded)
+		fail("distributed degraded slabs = %d > MaxDistDegraded %d", rep.Stats.DistDegraded, *a.MaxDistDegraded)
 	}
 	for _, cb := range a.CordonedBy {
 		tick, ok := rep.CordonTicks[cb.Device]
 		if !ok {
-			fail("device %d was never cordoned (cordoned_by tick %d)", cb.Device, cb.Tick)
+			fail("device %d was never cordoned (CordonedBy tick %d)", cb.Device, cb.Tick)
 		} else if tick > cb.Tick {
-			fail("device %d cordoned at tick %d > cordoned_by %d", cb.Device, tick, cb.Tick)
+			fail("device %d cordoned at tick %d > CordonedBy %d", cb.Device, tick, cb.Tick)
 		}
 	}
 	for _, fs := range a.FinalStates {
-		got := rep.Stats.Devices[fs.Device].State.String()
-		ok := false
-		for _, want := range fs.States {
-			if got == want {
-				ok = true
-			}
-		}
-		if !ok {
-			fail("device %d final state = %s, want %s", fs.Device, got, strings.Join(fs.States, "|"))
+		got := rep.Stats.Devices[fs.Device].State
+		if !slices.Contains(fs.States, got) {
+			fail("device %d final state = %s, want one of %v", fs.Device, got, fs.States)
 		}
 	}
 }

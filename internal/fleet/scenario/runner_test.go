@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"gputrid/internal/fleet"
+	"gputrid/internal/gpusim"
 )
 
 // TestDeviceDeathScenario is the acceptance scenario: 3 devices under
@@ -13,14 +16,14 @@ import (
 // bounded, the dead device's traffic re-routes, and the device returns
 // through probation to active — all on a virtual clock, replayable.
 func TestDeviceDeathScenario(t *testing.T) {
-	rep, err := RunFile("testdata/device_death.yaml", t.Logf)
+	rep, err := Run(deviceDeath(), t.Logf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !rep.OK() {
 		t.Fatalf("scenario failed:\n%s", rep.Summary())
 	}
-	// Beyond the file's own assertions, pin the story's key beats.
+	// Beyond the scenario's own assertions, pin the story's key beats.
 	if rep.Incorrect != 0 {
 		t.Fatalf("incorrect responses: %d", rep.Incorrect)
 	}
@@ -48,7 +51,7 @@ func TestDeviceDeathScenario(t *testing.T) {
 // cordons the device while the solve is in flight, and the serving
 // plane must stay correct throughout.
 func TestDistributedDeviceDeathScenario(t *testing.T) {
-	rep, err := RunFile("testdata/distributed_device_death.yaml", t.Logf)
+	rep, err := Run(distributedDeviceDeath(), t.Logf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -73,13 +76,13 @@ func TestDistributedDeviceDeathScenario(t *testing.T) {
 // TestGrayFailureScenario is the gray-failure acceptance scenario: a
 // silent straggler and a flaky (corrupting) link, neither of which
 // ever raises a driver event, must both be diagnosed from
-// distributed-solve evidence and cordoned within the file's asserted
+// distributed-solve evidence and cordoned within the scenario's asserted
 // tick bounds — while every accepted response stays bitwise identical
 // to the fault-free reference (every corruption caught by checksum
 // and repaired, straggler slabs hedged onto healthy devices, zero
 // slabs degraded off the bit-exact device path).
 func TestGrayFailureScenario(t *testing.T) {
-	rep, err := RunFile("testdata/gray_failure.yaml", t.Logf)
+	rep, err := Run(grayFailure(), t.Logf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -117,7 +120,7 @@ func TestGrayFailureScenario(t *testing.T) {
 // in, a thermal throttle deprioritizes (never drains) a device, and
 // the post-surge lull scales back down.
 func TestThermalAutoscaleScenario(t *testing.T) {
-	rep, err := RunFile("testdata/thermal_autoscale.yaml", t.Logf)
+	rep, err := Run(thermalAutoscale(), t.Logf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -136,32 +139,31 @@ func TestThermalAutoscaleScenario(t *testing.T) {
 // times. (Data-plane tallies that depend on goroutine interleaving —
 // exact reroute counts — are deliberately not compared.)
 func TestScenarioDeterminism(t *testing.T) {
-	src := []byte(`
-name: determinism
-seed: 9
-tick: 250ms
-duration: 4s
-shape: {m: 4, n: 48}
-variants: 2
-devices: {count: 3, initial: 3, min_active: 2}
-pool: {capacity: 2, queue: 64}
-policy: {probation: 500ms}
-load:
-  - {from: 0s, to: 4s, rps: 60}
-events:
-  - {at: 1s, device: 2, kind: xid, xid: 48}
-  - {at: 2500ms, device: 2, kind: healed}
-`)
+	sc := &Scenario{
+		Name:     "determinism",
+		Seed:     9,
+		Tick:     250 * time.Millisecond,
+		Duration: 4 * time.Second,
+		M:        4, N: 48,
+		Variants: 2,
+
+		Devices: 3, InitialActive: 3, MinActive: 2,
+		Capacity: 2, Queue: 64,
+
+		Probation: 500 * time.Millisecond,
+
+		Load: []LoadPhase{{From: 0, To: 4 * time.Second, RPS: 60}},
+		Events: []Event{
+			{At: time.Second, Device: 2, Kind: gpusim.HealthXID, XID: 48},
+			{At: 2500 * time.Millisecond, Device: 2, Kind: gpusim.HealthHealed},
+		},
+	}
 	type outcome struct {
 		cordons, heals, ups, downs uint64
 		incorrect, issued          int
 		states                     [3]fleet.DeviceState
 	}
 	run := func() outcome {
-		sc, err := Decode(src)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
 		rep, err := Run(sc, nil)
 		if err != nil {
 			t.Fatalf("run: %v", err)
@@ -198,21 +200,20 @@ events:
 // fault-layer activity must escalate through synthesized corrected-ECC
 // events into control-plane action.
 func TestRunnerFaultInjection(t *testing.T) {
-	sc, err := Decode([]byte(`
-name: faulty
-seed: 3
-tick: 250ms
-duration: 3s
-shape: {m: 4, n: 48}
-variants: 2
-devices: {count: 2, initial: 2, min_active: 1}
-pool: {capacity: 2, queue: 64}
-faults: {rate: 0.02}
-load:
-  - {from: 0s, to: 3s, rps: 80}
-`))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	sc := &Scenario{
+		Name:     "faulty",
+		Seed:     3,
+		Tick:     250 * time.Millisecond,
+		Duration: 3 * time.Second,
+		M:        4, N: 48,
+		Variants: 2,
+
+		Devices: 2, InitialActive: 2, MinActive: 1,
+		Capacity: 2, Queue: 64,
+
+		FaultRate: 0.02,
+
+		Load: []LoadPhase{{From: 0, To: 3 * time.Second, RPS: 80}},
 	}
 	rep, err := Run(sc, nil)
 	if err != nil {
@@ -223,5 +224,73 @@ load:
 	}
 	if rep.Served == 0 {
 		t.Fatal("nothing served")
+	}
+}
+
+// TestLoadCannedScenarios: each canned constructor yields a complete
+// scenario that passes validate.
+func TestLoadCannedScenarios(t *testing.T) {
+	for _, sc := range []*Scenario{deviceDeath(), distributedDeviceDeath(), grayFailure(), thermalAutoscale()} {
+		if sc.Name == "" || len(sc.Load) == 0 {
+			t.Fatalf("incomplete scenario %+v", sc)
+		}
+		if err := sc.validate(); err != nil {
+			t.Errorf("%s: %v", sc.Name, err)
+		}
+	}
+}
+
+// TestValidate: each mutation of a valid base trips exactly the
+// validate rule it names — through Run, which must refuse an invalid
+// scenario before replaying it.
+func TestValidate(t *testing.T) {
+	xid := func(at time.Duration, device int) Event {
+		return Event{At: at, Device: device, Kind: gpusim.HealthXID, XID: 79}
+	}
+	cases := []struct {
+		name   string
+		mutate func(sc *Scenario)
+		want   string
+	}{
+		{"zero tick", func(sc *Scenario) { sc.Tick = 0 }, "tick and duration must be positive"},
+		{"zero duration", func(sc *Scenario) { sc.Duration = 0 }, "tick and duration must be positive"},
+		{"too many ticks", func(sc *Scenario) { sc.Tick = time.Microsecond }, "over 100000 ticks"},
+		{"zero shape", func(sc *Scenario) { sc.M = 0 }, "bad shape"},
+		{"no devices", func(sc *Scenario) { sc.Devices = 0 }, "want 1..64"},
+		{"too many devices", func(sc *Scenario) { sc.Devices = 65 }, "want 1..64"},
+		{"zero variants", func(sc *Scenario) { sc.Variants = 0 }, "variants must be"},
+		{"no load", func(sc *Scenario) { sc.Load = nil }, "no load phases"},
+		{"empty load phase", func(sc *Scenario) { sc.Load[0].To = sc.Load[0].From }, "load phase 0 is empty"},
+		{"event device range", func(sc *Scenario) { sc.Events = []Event{xid(time.Second, 9)} }, "event device 9 out of range"},
+		{"events out of order", func(sc *Scenario) {
+			sc.Events = []Event{xid(2*time.Second, 0), xid(time.Second, 1)}
+		}, "event 1 at 1s precedes event 0 at 2s"},
+		{"final state device range", func(sc *Scenario) { sc.Assert.FinalStates[0].Device = 4 }, "FinalStates device 4 out of range"},
+		{"distributed shape too small", func(sc *Scenario) { sc.Distributed.N = 6 }, "too small for 4 slabs"},
+		{"launch at end of run", func(sc *Scenario) { sc.Distributed.At = sc.Duration }, "Distributed.At 5s outside the run"},
+		{"repeat launch outside run", func(sc *Scenario) { sc.Distributed.Count = 9 }, "would launch at 5s, outside the run"},
+		{"victim range", func(sc *Scenario) { sc.Distributed.Victims = []int{4} }, "victim 4 out of range"},
+		{"every device a victim", func(sc *Scenario) { sc.Distributed.Victims = []int{0, 1, 2, 3} }, "no survivor"},
+		{"gray without distributed", func(sc *Scenario) { sc.Distributed = nil }, "need a Distributed spec"},
+		{"gray arms nothing", func(sc *Scenario) { sc.Gray.Straggler, sc.Gray.Flaky = nil, nil }, "arms neither"},
+		{"straggler device range", func(sc *Scenario) { sc.Gray.Straggler.Device = 4 }, "straggler device 4 out of range"},
+		{"straggler factor", func(sc *Scenario) { sc.Gray.Straggler.Factor = 1 }, "factor 1 must be > 1"},
+		{"flaky device range", func(sc *Scenario) { sc.Gray.Flaky.Device = -1 }, "flaky device -1 out of range"},
+		{"flaky rate zero", func(sc *Scenario) { sc.Gray.Flaky.Rate = 0 }, "rate 0 must be in (0, 1)"},
+		{"flaky rate one", func(sc *Scenario) { sc.Gray.Flaky.Rate = 1 }, "rate 1 must be in (0, 1)"},
+		{"cordoned_by device range", func(sc *Scenario) { sc.Assert.CordonedBy[0].Device = 4 }, "CordonedBy device 4 out of range"},
+		{"cordoned_by tick outside run", func(sc *Scenario) { sc.Assert.CordonedBy[0].Tick = 20 }, "tick 20 outside the run's 20 ticks"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// grayFailure is the base: the one canned scenario with a
+			// distributed spec, gray arming and detection deadlines.
+			sc := grayFailure()
+			tc.mutate(sc)
+			_, err := Run(sc, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want mention of %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -71,8 +71,8 @@ func (k HealthKind) String() string {
 	}
 }
 
-// ParseHealthKind parses the String form back into a kind (scenario
-// files and the HTTP injection endpoint speak the string names).
+// ParseHealthKind parses the String form back into a kind (the HTTP
+// injection endpoint speaks the string names).
 func ParseHealthKind(s string) (HealthKind, error) {
 	for k := HealthXID; k <= HealthStraggler; k++ {
 		if k.String() == s {
