@@ -84,43 +84,58 @@ func dyy[T num.Real](g Grid2D, u []T, i, j int) T {
 	return d - 2*c + up
 }
 
-// lineBatchX builds the x-direction implicit batch: one system per row
-// j, solving (diag + offd·Dx) u_row = rhs.
-func lineBatchX[T num.Real](g Grid2D, offd, diag T, rhs func(i, j int) T) *matrix.Batch[T] {
-	b := matrix.NewBatch[T](g.NY, g.NX)
-	for j := 0; j < g.NY; j++ {
-		base := j * g.NX
-		for i := 0; i < g.NX; i++ {
-			if i > 0 {
-				b.Lower[base+i] = offd
-			}
-			b.Diag[base+i] = diag
-			if i < g.NX-1 {
-				b.Upper[base+i] = offd
-			}
-			b.RHS[base+i] = rhs(i, j)
-		}
+// reuseBatch returns b when it already holds m systems of n rows, and
+// a new batch otherwise — the first step, or a step after Grid changed.
+func reuseBatch[T num.Real](b *matrix.Batch[T], m, n int) *matrix.Batch[T] {
+	if b == nil || b.M != m || b.N != n {
+		return matrix.NewBatch[T](m, n)
 	}
 	return b
 }
 
-// lineBatchY builds the y-direction implicit batch: one system per
-// column i.
-func lineBatchY[T num.Real](g Grid2D, offd, diag T, rhs func(i, j int) T) *matrix.Batch[T] {
-	b := matrix.NewBatch[T](g.NX, g.NY)
-	for i := 0; i < g.NX; i++ {
-		base := i * g.NY
-		for j := 0; j < g.NY; j++ {
-			if j > 0 {
-				b.Lower[base+j] = offd
-			}
-			b.Diag[base+j] = diag
-			if j < g.NY-1 {
-				b.Upper[base+j] = offd
-			}
-			b.RHS[base+j] = rhs(i, j)
-		}
+// reuseSlice is reuseBatch for a state-sized vector.
+func reuseSlice[T num.Real](s []T, n int) []T {
+	if len(s) != n {
+		return make([]T, n)
 	}
+	return s
+}
+
+// fillLines writes the constant-coefficient systems (diag + offd·D)
+// into every line of b, with rhs(line, row) on the right-hand side.
+// Lower[0] and Upper[n-1] of each line are written as zero, so a
+// reused batch carries nothing over from the previous step.
+func fillLines[T num.Real](b *matrix.Batch[T], offd, diag T, rhs func(line, row int) T) {
+	n := b.N
+	if n == 0 {
+		return
+	}
+	for line := 0; line < b.M; line++ {
+		base := line * n
+		for r := 0; r < n; r++ {
+			b.Lower[base+r] = offd
+			b.Diag[base+r] = diag
+			b.Upper[base+r] = offd
+			b.RHS[base+r] = rhs(line, r)
+		}
+		b.Lower[base] = 0
+		b.Upper[base+n-1] = 0
+	}
+}
+
+// lineBatchX fills b (reallocating it if its shape is stale) with the
+// x-direction implicit systems: one per row j, solving
+// (diag + offd·Dx) u_row = rhs.
+func lineBatchX[T num.Real](b *matrix.Batch[T], g Grid2D, offd, diag T, rhs func(i, j int) T) *matrix.Batch[T] {
+	b = reuseBatch(b, g.NY, g.NX)
+	fillLines(b, offd, diag, func(j, i int) T { return rhs(i, j) })
+	return b
+}
+
+// lineBatchY is lineBatchX in the y direction: one system per column i.
+func lineBatchY[T num.Real](b *matrix.Batch[T], g Grid2D, offd, diag T, rhs func(i, j int) T) *matrix.Batch[T] {
+	b = reuseBatch(b, g.NX, g.NY)
+	fillLines(b, offd, diag, rhs)
 	return b
 }
 
@@ -143,10 +158,17 @@ type Heat2D[T num.Real] struct {
 	Grid    Grid2D
 	Alpha   float64
 	Backend Backend[T]
+
+	// The line batches and the half-step state, sized on the first Step
+	// and reused by every later one.
+	bx, by *matrix.Batch[T]
+	half   []T
 }
 
 // Step advances u (length NX*NY) by dt; f may be nil for the
-// homogeneous equation.
+// homogeneous equation. The batches Step hands to the backend are
+// reused by the next Step, so a backend must not retain them. With a
+// backend that returns storage it owns, Step allocates nothing.
 func (h *Heat2D[T]) Step(u, f []T, dt float64) error {
 	g := h.Grid
 	if len(u) != g.NX*g.NY {
@@ -165,21 +187,22 @@ func (h *Heat2D[T]) Step(u, f []T, dt float64) error {
 	}
 
 	// Half-step 1: implicit in x, explicit in y.
-	bx := lineBatchX(g, -lx, 1+2*lx, func(i, j int) T {
+	h.bx = lineBatchX(h.bx, g, -lx, 1+2*lx, func(i, j int) T {
 		return u[g.idx(i, j)] + ly*dyy(g, u, i, j) + src(i, j)
 	})
-	xs, err := h.Backend(bx)
+	xs, err := h.Backend(h.bx)
 	if err != nil {
 		return err
 	}
-	half := make([]T, len(u))
+	h.half = reuseSlice(h.half, len(u))
+	half := h.half
 	copy(half, xs)
 
 	// Half-step 2: implicit in y, explicit in x on the intermediate.
-	by := lineBatchY(g, -ly, 1+2*ly, func(i, j int) T {
+	h.by = lineBatchY(h.by, g, -ly, 1+2*ly, func(i, j int) T {
 		return half[g.idx(i, j)] + lx*dxx(g, half, i, j) + src(i, j)
 	})
-	ys, err := h.Backend(by)
+	ys, err := h.Backend(h.by)
 	if err != nil {
 		return err
 	}
@@ -192,6 +215,9 @@ func (h *Heat2D[T]) Step(u, f []T, dt float64) error {
 type Poisson2D[T num.Real] struct {
 	Grid    Grid2D
 	Backend Backend[T]
+
+	// The line batches, sized on the first sweep and reused.
+	bx, by *matrix.Batch[T]
 }
 
 // WachspressParams returns J acceleration parameters geometrically
@@ -221,7 +247,8 @@ func (p *Poisson2D[T]) DefaultParams() []float64 {
 }
 
 // Iterate runs `cycles` sweeps through the parameter list, updating u
-// in place, and returns the final max-norm residual of −∇²u = f.
+// in place, and returns the final max-norm residual of −∇²u = f. Like
+// Heat2D.Step it reuses the batches it hands to the backend.
 func (p *Poisson2D[T]) Iterate(u, f []T, params []float64, cycles int) (float64, error) {
 	g := p.Grid
 	if len(u) != g.NX*g.NY || len(f) != g.NX*g.NY {
@@ -240,19 +267,19 @@ func (p *Poisson2D[T]) Iterate(u, f []T, params []float64, cycles int) (float64,
 			rho := T(rhoF)
 			// x half-sweep: (rho + Ax) u' = f - Ay u + rho u, where
 			// Ax = -dxx/hx², Ay = -dyy/hy².
-			bx := lineBatchX(g, -ax, 2*ax+rho, func(i, j int) T {
+			p.bx = lineBatchX(p.bx, g, -ax, 2*ax+rho, func(i, j int) T {
 				return f[g.idx(i, j)] + ay*dyy(g, u, i, j) + rho*u[g.idx(i, j)]
 			})
-			xs, err := p.Backend(bx)
+			xs, err := p.Backend(p.bx)
 			if err != nil {
 				return 0, err
 			}
 			scatterX(g, u, xs)
 			// y half-sweep.
-			by := lineBatchY(g, -ay, 2*ay+rho, func(i, j int) T {
+			p.by = lineBatchY(p.by, g, -ay, 2*ay+rho, func(i, j int) T {
 				return f[g.idx(i, j)] + ax*dxx(g, u, i, j) + rho*u[g.idx(i, j)]
 			})
-			ys, err := p.Backend(by)
+			ys, err := p.Backend(p.by)
 			if err != nil {
 				return 0, err
 			}

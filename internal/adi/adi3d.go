@@ -69,9 +69,15 @@ type Heat3D[T num.Real] struct {
 	Grid    Grid3D
 	Alpha   float64
 	Backend Backend[T]
+
+	// The three line batches and the stage-2 state, sized on the first
+	// Step and reused by every later one.
+	b1, b2, b3 *matrix.Batch[T]
+	v2         []T
 }
 
-// Step advances u (length NX*NY*NZ) by dt.
+// Step advances u (length NX*NY*NZ) by dt. As with Heat2D.Step, the
+// batches handed to the backend are reused by the next Step.
 func (h *Heat3D[T]) Step(u []T, dt float64) error {
 	g := h.Grid
 	total := g.NX * g.NY * g.NZ
@@ -87,53 +93,32 @@ func (h *Heat3D[T]) Step(u []T, dt float64) error {
 
 	// Stage 1 (x-implicit):
 	// (I − lx/2 Dx) v1 = [I + lx/2 Dx + ly Dy + lz Dz] u
-	b1 := matrix.NewBatch[T](g.NY*g.NZ, g.NX)
-	for k := 0; k < g.NZ; k++ {
-		for j := 0; j < g.NY; j++ {
-			base := (k*g.NY + j) * g.NX
-			for i := 0; i < g.NX; i++ {
-				if i > 0 {
-					b1.Lower[base+i] = -lx / 2
-				}
-				b1.Diag[base+i] = 1 + lx
-				if i < g.NX-1 {
-					b1.Upper[base+i] = -lx / 2
-				}
-				b1.RHS[base+i] = u[g.idx(i, j, k)] +
-					lx/2*dxx3(g, u, i, j, k) +
-					ly*dyy3(g, u, i, j, k) +
-					lz*dzz3(g, u, i, j, k)
-			}
-		}
-	}
-	v1, err := h.Backend(b1)
+	h.b1 = reuseBatch(h.b1, g.NY*g.NZ, g.NX)
+	fillLines(h.b1, -lx/2, 1+lx, func(line, i int) T {
+		j, k := line%g.NY, line/g.NY
+		return u[g.idx(i, j, k)] +
+			lx/2*dxx3(g, u, i, j, k) +
+			ly*dyy3(g, u, i, j, k) +
+			lz*dzz3(g, u, i, j, k)
+	})
+	v1, err := h.Backend(h.b1)
 	if err != nil {
 		return err
 	}
 	// v1 is already in grid layout (x-lines are contiguous).
 
 	// Stage 2 (y-implicit): (I − ly/2 Dy) v2 = v1 − ly/2 Dy u
-	b2 := matrix.NewBatch[T](g.NX*g.NZ, g.NY)
-	for k := 0; k < g.NZ; k++ {
-		for i := 0; i < g.NX; i++ {
-			base := (k*g.NX + i) * g.NY
-			for j := 0; j < g.NY; j++ {
-				if j > 0 {
-					b2.Lower[base+j] = -ly / 2
-				}
-				b2.Diag[base+j] = 1 + ly
-				if j < g.NY-1 {
-					b2.Upper[base+j] = -ly / 2
-				}
-				b2.RHS[base+j] = v1[g.idx(i, j, k)] - ly/2*dyy3(g, u, i, j, k)
-			}
-		}
-	}
-	x2, err := h.Backend(b2)
+	h.b2 = reuseBatch(h.b2, g.NX*g.NZ, g.NY)
+	fillLines(h.b2, -ly/2, 1+ly, func(line, j int) T {
+		i, k := line%g.NX, line/g.NX
+		return v1[g.idx(i, j, k)] - ly/2*dyy3(g, u, i, j, k)
+	})
+	x2, err := h.Backend(h.b2)
 	if err != nil {
 		return err
 	}
-	v2 := make([]T, total)
+	h.v2 = reuseSlice(h.v2, total)
+	v2 := h.v2
 	for k := 0; k < g.NZ; k++ {
 		for i := 0; i < g.NX; i++ {
 			base := (k*g.NX + i) * g.NY
@@ -144,23 +129,12 @@ func (h *Heat3D[T]) Step(u []T, dt float64) error {
 	}
 
 	// Stage 3 (z-implicit): (I − lz/2 Dz) u' = v2 − lz/2 Dz u
-	b3 := matrix.NewBatch[T](g.NX*g.NY, g.NZ)
-	for j := 0; j < g.NY; j++ {
-		for i := 0; i < g.NX; i++ {
-			base := (j*g.NX + i) * g.NZ
-			for k := 0; k < g.NZ; k++ {
-				if k > 0 {
-					b3.Lower[base+k] = -lz / 2
-				}
-				b3.Diag[base+k] = 1 + lz
-				if k < g.NZ-1 {
-					b3.Upper[base+k] = -lz / 2
-				}
-				b3.RHS[base+k] = v2[g.idx(i, j, k)] - lz/2*dzz3(g, u, i, j, k)
-			}
-		}
-	}
-	x3, err := h.Backend(b3)
+	h.b3 = reuseBatch(h.b3, g.NX*g.NY, g.NZ)
+	fillLines(h.b3, -lz/2, 1+lz, func(line, k int) T {
+		i, j := line%g.NX, line/g.NX
+		return v2[g.idx(i, j, k)] - lz/2*dzz3(g, u, i, j, k)
+	})
+	x3, err := h.Backend(h.b3)
 	if err != nil {
 		return err
 	}

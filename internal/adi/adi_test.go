@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gputrid/internal/core"
+	"gputrid/internal/matrix"
 )
 
 func fill2D(g Grid2D, f func(x, y float64) float64) []float64 {
@@ -223,5 +224,101 @@ func TestHeat3DGPUBackend(t *testing.T) {
 	}
 	if worst > 1e-12 {
 		t.Errorf("GPU vs CPU 3-D step differ by %g", worst)
+	}
+}
+
+// pipelineBackend solves on a reusable pipeline into storage it owns,
+// the shape of a timestep loop's backend: after the pipeline's first
+// solve it allocates nothing.
+func pipelineBackend(t *testing.T, m, n int) Backend[float64] {
+	t.Helper()
+	p, err := core.NewPipeline[float64](core.Config{K: core.KAuto}, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	x := make([]float64, m*n)
+	return func(b *matrix.Batch[float64]) ([]float64, error) {
+		return x, p.SolveInto(x, b)
+	}
+}
+
+// TestHeat2DStepAllocFree pins the steady-state step: with a backend
+// that returns storage it owns, Step reuses its batches and half-step
+// state and allocates nothing.
+func TestHeat2DStepAllocFree(t *testing.T) {
+	g := NewGrid2D(24, 24)
+	u := fill2D(g, func(x, y float64) float64 { return x * (1 - x) * y * (1 - y) })
+	f := fill2D(g, func(x, y float64) float64 { return x + y })
+	h := &Heat2D[float64]{Grid: g, Alpha: 0.1, Backend: pipelineBackend(t, 24, 24)}
+	if err := h.Step(u, f, 1e-3); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := h.Step(u, f, 1e-3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Heat2D.Step allocates %.1f times per step, want 0", allocs)
+	}
+}
+
+// TestADIReuseMatchesFresh checks that reused batches carry nothing
+// from one step to the next, also across a Grid change: every step
+// must equal, bit for bit, the same step on a fresh integrator.
+func TestADIReuseMatchesFresh(t *testing.T) {
+	h := &Heat2D[float64]{Alpha: 0.1, Backend: CPUBackend[float64]()}
+	p := &Poisson2D[float64]{Backend: CPUBackend[float64]()}
+	h3 := &Heat3D[float64]{Alpha: 0.1, Backend: CPUBackend[float64]()}
+	for _, sz := range []int{9, 9, 14, 5} {
+		g := NewGrid2D(sz, sz+3)
+		u := fill2D(g, func(x, y float64) float64 { return x * (1 - x) * y })
+		ref := append([]float64(nil), u...)
+		h.Grid = g
+		if err := h.Step(u, u, 1e-3); err != nil {
+			t.Fatal(err)
+		}
+		fresh := &Heat2D[float64]{Grid: g, Alpha: 0.1, Backend: CPUBackend[float64]()}
+		if err := fresh.Step(ref, append([]float64(nil), ref...), 1e-3); err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, "Heat2D", sz, u, ref)
+
+		p.Grid = g
+		pu, pref := append([]float64(nil), u...), append([]float64(nil), u...)
+		if _, err := p.Iterate(pu, u, []float64{3}, 1); err != nil {
+			t.Fatal(err)
+		}
+		pf := &Poisson2D[float64]{Grid: g, Backend: CPUBackend[float64]()}
+		if _, err := pf.Iterate(pref, u, []float64{3}, 1); err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, "Poisson2D", sz, pu, pref)
+
+		g3 := NewGrid3D(sz, sz+1, sz+2)
+		v := make([]float64, g3.NX*g3.NY*g3.NZ)
+		for i := range v {
+			v[i] = float64(i%5) / 5
+		}
+		vref := append([]float64(nil), v...)
+		h3.Grid = g3
+		if err := h3.Step(v, 1e-3); err != nil {
+			t.Fatal(err)
+		}
+		f3 := &Heat3D[float64]{Grid: g3, Alpha: 0.1, Backend: CPUBackend[float64]()}
+		if err := f3.Step(vref, 1e-3); err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, "Heat3D", sz, v, vref)
+	}
+}
+
+func assertSameBits(t *testing.T, name string, sz int, got, want []float64) {
+	t.Helper()
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s size %d: element %d = %v after reuse, fresh %v", name, sz, i, got[i], want[i])
+		}
 	}
 }

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"testing"
+	"time"
 
 	"gputrid/internal/core"
+	"gputrid/internal/cpu"
 	"gputrid/internal/workload"
 )
 
@@ -30,10 +32,14 @@ func BenchmarkSolveOneShot(b *testing.B) {
 }
 
 // BenchmarkSolveReuse is the steady state of a warmed pipeline: arenas
-// pre-allocated, device events recorded once and replayed, zero heap
-// allocations per solve (check with -benchmem). Compare against
-// BenchmarkSolveOneShot; results are bitwise identical (see
-// core.TestPipelineReuseMatchesSolve).
+// pre-allocated, device events recorded once, the arithmetic replayed
+// natively, zero heap allocations per solve (check with -benchmem).
+// Compare against BenchmarkSolveOneShot; results are bitwise identical
+// (see core.TestPipelineReuseMatchesSolve).
+//
+// replay/cpu divides the time per solve by that of cpu.SolveBatchSeq
+// (sequential Thomas) on the same batch, timed after the loop in the
+// same run, so the ratio does not depend on the host's speed.
 func BenchmarkSolveReuse(b *testing.B) {
 	batch := workload.Batch[float64](workload.DiagDominant, reuseM, reuseN, 1)
 	p, err := core.NewPipeline[float64](core.Config{K: core.KAuto}, reuseM, reuseN)
@@ -52,4 +58,13 @@ func BenchmarkSolveReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	replay := b.Elapsed()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := cpu.SolveBatchSeq(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(replay)/float64(time.Since(start)), "replay/cpu")
 }

@@ -318,12 +318,14 @@ func (s *DistSolver[T]) hedgeOne(ctx context.Context, rep *DistReport, sl *distS
 	s.leases[target].Add(1)
 	done := make(chan hedgeResult, 1)
 	go func() {
-		defer s.leases[target].Add(-1)
 		if hook := s.testHookHedgeStart; hook != nil {
 			hook()
 		}
 		L := s.part.Slabs[sl.idx].Len()
 		err := s.reduceSlab(hctx, spec, target, s.hedgeX[:3*s.m*L], s.hedgeIface, s.hedgeShadow)
+		// Release the lease before signalling, so it is free by the time
+		// the receiver — and so SolveOn — moves on.
+		s.leases[target].Add(-1)
 		done <- hedgeResult{spec.timing, err}
 	}()
 

@@ -222,9 +222,12 @@ type DistSolver[T num.Real] struct {
 	kByLen map[int]int
 
 	// pipes caches the per-(device, slab length) local-reduce
-	// pipelines; populated lazily under mu as assignments happen.
-	mu    sync.Mutex
-	pipes map[pipeKey]*Pipeline[T]
+	// pipelines and backsubStats the recorded distBacksub launch of
+	// each (device, slab length); both are populated lazily under mu as
+	// assignments happen.
+	mu           sync.Mutex
+	pipes        map[pipeKey]*Pipeline[T]
+	backsubStats map[pipeKey]gpusim.Stats
 
 	inUse  atomic.Bool
 	closed bool
@@ -248,15 +251,16 @@ func NewDistSolver[T num.Real](cfg DistConfig, m, n int) (*DistSolver[T], error)
 		return nil, err
 	}
 	s := &DistSolver[T]{
-		cfg:    cfg,
-		topo:   cfg.Topology,
-		m:      m,
-		n:      n,
-		part:   part,
-		pipes:  make(map[pipeKey]*Pipeline[T]),
-		kByLen: make(map[int]int),
-		obs:    make(map[int]*devObs),
-		leases: make([]atomic.Int32, cfg.Topology.NumDevices()),
+		cfg:          cfg,
+		topo:         cfg.Topology,
+		m:            m,
+		n:            n,
+		part:         part,
+		pipes:        make(map[pipeKey]*Pipeline[T]),
+		kByLen:       make(map[int]int),
+		backsubStats: make(map[pipeKey]gpusim.Stats),
+		obs:          make(map[int]*devObs),
+		leases:       make([]atomic.Int32, cfg.Topology.NumDevices()),
 	}
 	d := part.NumSlabs()
 	s.slabIn = make([]*matrix.Batch[T], d)
@@ -891,13 +895,18 @@ func (s *DistSolver[T]) solveReduced(b *matrix.Batch[T], dst []T) error {
 	return nil
 }
 
-// backsubOne back-substitutes slab sl on device dev with a real
-// simulated kernel, so phase C is a fault-injectable failure domain
-// like the reduce. The kernel is a pure function of host-held
-// (u, v, w, separators), so a migrated backsub re-runs bit-exactly.
-// Both transfers are checksum-verified; a link that stays corrupt
-// degrades the slab to the host backsub, which computes the same
-// expression in the same order — bitwise identical output.
+// backsubOne back-substitutes slab sl on device dev, so phase C is a
+// fault-injectable failure domain like the reduce. The kernel is a
+// pure function of host-held (u, v, w, separators), so a migrated
+// backsub re-runs bit-exactly. Both transfers are checksum-verified; a
+// link that stays corrupt degrades the slab to the host backsub, which
+// computes the same expression in the same order — bitwise identical
+// output.
+//
+// The distBacksub launch is simulated once per (device, slab length)
+// to record its Stats, and whenever the device has a fault injector
+// armed; every other backsub computes the same expression natively
+// through backsubHost and charges the recorded Stats.
 func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) error {
 	p := sl.idx
 	L := s.part.Slabs[p].Len()
@@ -922,7 +931,41 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 			return cancelled(err)
 		}
 	}
+	d := s.topo.Device(dev)
+	key := pipeKey{dev, L}
+	s.mu.Lock()
+	st, ok := s.backsubStats[key]
+	s.mu.Unlock()
+	if ok && d.Faults == nil {
+		_ = s.backsubHost(sl) // never fails; the error is runPhase's signature
+	} else {
+		rec, err := s.launchBacksub(d, p, L)
+		if err != nil {
+			return err
+		}
+		st = *rec
+		s.mu.Lock()
+		s.backsubStats[key] = st
+		s.mu.Unlock()
+	}
+	total := m * L
+	down, err := s.verifiedDown(sl, dev, int64(total)*elem, s.slabOut[p], s.outShadow[p])
+	if err != nil {
+		return err
+	}
+	compute := d.EstimateTime(&st, num.SizeOf[T]())
+	sl.timing.Upload += up
+	sl.timing.Compute += compute
+	sl.timing.Download += down
+	s.noteBusy(dev, up+compute+down)
+	return nil
+}
+
+// launchBacksub runs slab p's back-substitution as a simulated kernel
+// on device d, one thread per output row.
+func (s *DistSolver[T]) launchBacksub(d *gpusim.Device, p, L int) (*gpusim.Stats, error) {
 	const bs = 128
+	m := s.m
 	total := m * L
 	uG := gpusim.NewGlobal(s.slabX[p][:m*L])
 	vG := gpusim.NewGlobal(s.slabX[p][m*L : 2*m*L])
@@ -930,7 +973,7 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 	xlG := gpusim.NewGlobal(s.sepL[p])
 	xrG := gpusim.NewGlobal(s.sepR[p])
 	outG := gpusim.NewGlobal(s.slabOut[p])
-	st, err := s.topo.Device(dev).Launch("distBacksub",
+	return d.Launch("distBacksub",
 		gpusim.LaunchConfig{Grid: num.CeilDiv(total, bs), Block: bs},
 		func(blk *gpusim.Block) {
 			blk.PhaseNoSync(func(t *gpusim.Thread) {
@@ -944,22 +987,10 @@ func (s *DistSolver[T]) backsubOne(ctx context.Context, sl *distSlab, dev int) e
 				outG.Store(t, idx, r)
 			})
 		})
-	if err != nil {
-		return err
-	}
-	down, err := s.verifiedDown(sl, dev, int64(total)*elem, s.slabOut[p], s.outShadow[p])
-	if err != nil {
-		return err
-	}
-	compute := s.topo.Device(dev).EstimateTime(st, num.SizeOf[T]())
-	sl.timing.Upload += up
-	sl.timing.Compute += compute
-	sl.timing.Download += down
-	s.noteBusy(dev, up+compute+down)
-	return nil
 }
 
-// backsubHost is the degraded back-substitution.
+// backsubHost computes slab sl's back-substitution on the host: the
+// degraded path, and backsubOne's steady state on a fault-free device.
 func (s *DistSolver[T]) backsubHost(sl *distSlab) error {
 	p := sl.idx
 	L := s.part.Slabs[p].Len()

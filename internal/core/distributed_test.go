@@ -118,6 +118,48 @@ func TestDistributedAssignmentInvariance(t *testing.T) {
 	}
 }
 
+// TestDistributedSteadyStateMatchesRecording pins the native steady
+// state: once the first solve has recorded every launch, later solves
+// compute the reduce and the backsub natively yet must reproduce the
+// recording solve's bits and its modeled times exactly — and so must a
+// solve whose devices carry an (empty) injector, which keeps the
+// simulated kernels.
+func TestDistributedSteadyStateMatchesRecording(t *testing.T) {
+	const m, n = 3, 517
+	b := workload.Batch[float64](workload.DiagDominant, m, n, 11)
+	topo := distTopo(t, 2, gpusim.NVLinkMesh())
+	s, err := NewDistSolver[float64](DistConfig{Topology: topo, Slabs: 4}, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	solve := func() ([]float64, DistReport) {
+		dst := make([]float64, m*n)
+		rep, err := s.SolveInto(context.Background(), dst, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dst, *rep
+	}
+	first, rep0 := solve()
+	check := func(name string) {
+		got, rep := solve()
+		if i := firstBitDiff(got, first); i >= 0 {
+			t.Fatalf("%s: element %d = %v, recording solve %v", name, i, got[i], first[i])
+		}
+		if rep.ModeledSerial != rep0.ModeledSerial || rep.ModeledPipelined != rep0.ModeledPipelined {
+			t.Fatalf("%s: modeled serial/pipelined %v/%v, recording solve %v/%v", name,
+				rep.ModeledSerial, rep.ModeledPipelined, rep0.ModeledSerial, rep0.ModeledPipelined)
+		}
+	}
+	check("native")
+	check("native again")
+	for d := 0; d < topo.NumDevices(); d++ {
+		topo.Device(d).Faults = &gpusim.Injector{}
+	}
+	check("armed injector")
+}
+
 // TestDistributedDeviceDeath kills one device permanently mid-solve
 // (its first tiledPCR launch and every retry abort) and requires: the
 // solve completes, the result is bitwise identical to the fault-free

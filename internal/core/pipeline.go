@@ -43,17 +43,18 @@ var (
 // k, c, blocks per system, device), never of the coefficient data:
 // the kernels contain no data-dependent control flow, and global
 // arrays are 512-byte aligned so coalescing does not depend on where
-// a particular batch happens to live. Subsequent solves therefore
-// replay the kernels' arithmetic with event recording disabled —
-// skipping the per-element coalescing analysis that dominates
-// simulation cost — while Report continues to describe every solve
-// exactly. Solutions are bitwise identical between recorded and
-// replayed solves: the same kernel code runs in the same order either
-// way.
+// a particular batch happens to live. Later solves on a device with no
+// fault injector armed therefore skip the simulator altogether: they
+// run the kernels' arithmetic as plain loops (native.go) while Report
+// continues to describe every solve exactly. Solutions are bitwise
+// identical between recorded and native solves: the loops evaluate
+// the kernels' expressions in the same order over the same dependency
+// DAG. With an injector armed, every solve runs the simulated kernels,
+// so faults land on the blocks they are scheduled for.
 //
-// Replayed solves shard the batch across a bounded worker pool
+// Steady-state solves shard the batch across a bounded worker pool
 // (Config.Workers, default GOMAXPROCS) with a per-worker arena slice
-// — each worker owns its executor and window buffers and writes a
+// — each worker owns its executor and scratch buffers and writes a
 // disjoint range of systems, so no synchronization beyond the
 // start/done handshake is needed.
 //
@@ -130,11 +131,13 @@ type Pipeline[T num.Real] struct {
 }
 
 // pipeWorker is one lane of the pool: a reusable block executor, the
-// worker's private window buffers (k >= 1), the kernel closures bound
-// to them, and the static shard of the batch it executes.
+// worker's private window buffers and native scratch (k >= 1), the
+// kernel closures bound to them, and the static shard of the batch it
+// executes.
 type pipeWorker[T num.Real] struct {
 	exec       *gpusim.Executor
 	win        *tiledpcr.Window[T]
+	nb         nativeBufs[T] // k >= 1: native replay scratch
 	kernK0     gpusim.Kernel // k == 0: interleaved p-Thomas blocks
 	pcrKern    gpusim.Kernel // k >= 1: tiled-PCR blocks
 	thomasKern gpusim.Kernel // k >= 1: strided p-Thomas blocks
@@ -249,6 +252,7 @@ func (p *Pipeline[T]) buildWorkers() {
 		} else {
 			w.firstSys, w.nSys = next, size
 			w.win = tiledpcr.NewWindowBuffers[T](p.k, p.c)
+			w.nb = newNativeBufs[T](p.n, p.k)
 			w.pcrKern = p.makePCRKernel(w)
 			w.thomasKern = p.makeThomasKernel()
 		}
@@ -331,22 +335,6 @@ func (p *Pipeline[T]) makeThomasKernel() gpusim.Kernel {
 	}
 }
 
-// runShard executes worker w's shard of a replayed solve. Sharding is
-// by whole systems for k >= 1, so the worker can run its PCR blocks
-// and then immediately the p-Thomas blocks of the same systems — the
-// inter-kernel dependency is contained within the shard and needs no
-// global barrier. Replay cannot fail (the geometry was validated when
-// it was recorded), so the errors are discarded.
-func (p *Pipeline[T]) runShard(w *pipeWorker[T]) {
-	if p.k == 0 {
-		_ = w.exec.RunBlocks(nil, p.bs, w.firstBlk, w.nBlk, false, w.kernK0)
-		return
-	}
-	tpb := 1 << p.k
-	_ = w.exec.RunBlocks(nil, tpb, w.firstSys*p.g, w.nSys*p.g, false, w.pcrKern)
-	_ = w.exec.RunBlocks(nil, tpb, w.firstSys, w.nSys, false, w.thomasKern)
-}
-
 // SolveInto solves the batch into dst (length M·N, natural order:
 // system i occupying [i*N, (i+1)*N)). After the first call on a
 // pipeline it performs no heap allocations. The batch must match the
@@ -359,12 +347,13 @@ func (p *Pipeline[T]) SolveInto(dst []T, b *matrix.Batch[T]) error {
 // transient-fault recovery.
 //
 // Cancellation: once ctx is done, every worker stops promptly (between
-// thread blocks, and during retry backoff waits), the pool is joined
-// with no goroutine leaks, and the solve returns an error matching both
-// ErrCancelled and the context's own error. dst is written at whole-
-// system granularity only, so every system's rows are either fully
-// written or untouched; on the k = 0 path dst is written in one final
-// host pass and is fully untouched by a cancelled solve.
+// systems, or thread blocks on the k = 0 path, and during retry backoff
+// waits), the pool is joined with no goroutine leaks, and the solve
+// returns an error matching both ErrCancelled and the context's own
+// error. dst is written at whole-system granularity only, so every
+// system's rows are either fully written or untouched; on the k = 0
+// path dst is written in one final host pass and is fully untouched by
+// a cancelled solve.
 //
 // Faults: when the device carries a gpusim.Injector, each shard of the
 // batch is a checkpointed unit of work — its kernels never mutate
@@ -503,7 +492,7 @@ func (p *Pipeline[T]) recordLaunch(st *gpusim.Stats, name string, slot, tpb, gri
 	maxR := p.cfg.Retry.maxRetries()
 	for attempt := 0; ; attempt++ {
 		*st = gpusim.Stats{Kernel: name, Launches: 1, Blocks: grid, ThreadsPerBlock: tpb}
-		err := w.exec.RunBlocksCtx(p.ctx, st, tpb, 0, grid, true, kern,
+		err := w.exec.RunBlocksCtx(p.ctx, st, tpb, 0, grid, kern,
 			gpusim.FaultSite{Inj: p.dev.Faults, Kernel: name, Attempt: attempt})
 		if err == nil {
 			return nil
@@ -544,9 +533,8 @@ func (p *Pipeline[T]) finishRecording(nKern int) {
 }
 
 // replay fans the pre-built shards out over the pool (the coordinator
-// runs lane 0 inline) with recording disabled. Every lane is always
-// joined — even after an error — so the pool is quiescent and reusable
-// when replay returns. A cancellation error takes precedence over
+// runs lane 0 inline). Every lane is always joined — even after an
+// error — so the pool is quiescent and reusable when replay returns. A cancellation error takes precedence over
 // fault errors in the merge.
 func (p *Pipeline[T]) replay() error {
 	for _, w := range p.workers[1:] {
@@ -568,14 +556,13 @@ func (p *Pipeline[T]) replay() error {
 	return first
 }
 
-// runShardAuto dispatches one lane's shard: the original zero-overhead
-// path when the solve is uncancellable and fault-free, the checkpointed
-// retry path otherwise. The outcome lands in w.err (the worker must not
-// return an error through the done channel).
+// runShardAuto dispatches one lane's shard: the native loops when the
+// device has no fault injector armed, the simulated kernels on the
+// checkpointed retry path otherwise. The outcome lands in w.err (the
+// worker must not return an error through the done channel).
 func (p *Pipeline[T]) runShardAuto(w *pipeWorker[T]) {
-	if p.ctx == nil && p.dev.Faults == nil {
-		p.runShard(w)
-		w.err = nil
+	if p.dev.Faults == nil {
+		w.err = p.runNative(w)
 		return
 	}
 	w.err = p.runShardFT(w)
@@ -628,15 +615,15 @@ func (p *Pipeline[T]) runShardFT(w *pipeWorker[T]) error {
 func (p *Pipeline[T]) tryShard(w *pipeWorker[T], attempt int) (slot int, err error) {
 	inj := p.dev.Faults
 	if p.k == 0 {
-		return 0, w.exec.RunBlocksCtx(p.ctx, nil, p.bs, w.firstBlk, w.nBlk, false, w.kernK0,
+		return 0, w.exec.RunBlocksCtx(p.ctx, nil, p.bs, w.firstBlk, w.nBlk, w.kernK0,
 			gpusim.FaultSite{Inj: inj, Kernel: "pThomas", Attempt: attempt})
 	}
 	tpb := 1 << p.k
-	if err := w.exec.RunBlocksCtx(p.ctx, nil, tpb, w.firstSys*p.g, w.nSys*p.g, false, w.pcrKern,
+	if err := w.exec.RunBlocksCtx(p.ctx, nil, tpb, w.firstSys*p.g, w.nSys*p.g, w.pcrKern,
 		gpusim.FaultSite{Inj: inj, Kernel: "tiledPCR", Attempt: attempt}); err != nil {
 		return 0, err
 	}
-	return 1, w.exec.RunBlocksCtx(p.ctx, nil, tpb, w.firstSys, w.nSys, false, w.thomasKern,
+	return 1, w.exec.RunBlocksCtx(p.ctx, nil, tpb, w.firstSys, w.nSys, w.thomasKern,
 		gpusim.FaultSite{Inj: inj, Kernel: "pThomasStrided", Attempt: attempt})
 }
 

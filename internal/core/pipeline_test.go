@@ -22,7 +22,7 @@ var pipelineShapes = []struct {
 
 // TestPipelineReuseMatchesSolve reuses one pipeline across many
 // batches and requires bitwise identity with the one-shot Solve on
-// every one of them — recorded first solve and replayed rest alike.
+// every one of them — recorded first solve and native rest alike.
 func TestPipelineReuseMatchesSolve(t *testing.T) {
 	for _, tc := range pipelineShapes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,10 +41,8 @@ func TestPipelineReuseMatchesSolve(t *testing.T) {
 				if err := p.SolveInto(dst, b); err != nil {
 					t.Fatal(err)
 				}
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("iter %d: dst[%d] = %v, Solve = %v (not bitwise identical)", iter, i, dst[i], want[i])
-					}
+				if i := firstBitDiff(dst, want); i >= 0 {
+					t.Fatalf("iter %d: dst[%d] = %v, Solve = %v (not bitwise identical)", iter, i, dst[i], want[i])
 				}
 				got := p.Report()
 				if *got.Stats != *rep.Stats {
@@ -88,10 +86,8 @@ func TestPipelineWorkersMatch(t *testing.T) {
 				if err := p4.SolveInto(x4, b); err != nil {
 					t.Fatal(err)
 				}
-				for i := range x1 {
-					if x1[i] != x4[i] {
-						t.Fatalf("iter %d: workers=1 and workers=4 disagree at %d: %v vs %v", iter, i, x1[i], x4[i])
-					}
+				if i := firstBitDiff(x1, x4); i >= 0 {
+					t.Fatalf("iter %d: workers=1 and workers=4 disagree at %d: %v vs %v", iter, i, x1[i], x4[i])
 				}
 			}
 		})

@@ -145,11 +145,6 @@ type Block struct {
 	slots     []slotState // per-instruction-slot coalescing state, reset each phase
 	bankSlots []bankSlotState
 	sharedSeq int32
-	// norec disables event recording: kernel arithmetic still runs, but
-	// global-memory accesses skip the coalescing analysis. The zero
-	// value records, so Launch-created blocks behave as always; only the
-	// replaying Executor sets it (see Executor and Stats.Accumulate).
-	norec bool
 	// corrupt, when non-nil, arms the block with an injected corrupt
 	// fault: selected stores are poisoned (see Injector). Nil in every
 	// fault-free execution, so the store fast path pays one predictable

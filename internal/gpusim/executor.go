@@ -14,18 +14,15 @@ import (
 // timestep. A pipeline creates one Executor per worker up front and
 // then drives it with no per-solve heap allocations.
 //
-// Recording is explicit: with record=true the architectural events of
-// every block are accumulated into the caller's Stats (the same totals
-// Launch would produce for those blocks); with record=false the kernel
-// arithmetic runs but event recording — including the per-element
-// coalescing analysis, the dominant simulation cost — is skipped. The
-// recorded events are a pure function of the launch geometry and array
-// layout, never of the floating-point data (kernels contain no
-// data-dependent control flow, and Global arrays are 512-byte aligned
-// so the coalescing pattern is base-independent), which is what makes
-// record-once / replay-many sound: a replayed solve computes bitwise
-// the same solution while the previously recorded Stats still describe
-// it exactly.
+// Every block is recorded. With a non-nil Stats the architectural
+// events of every block are accumulated into it (the same totals
+// Launch would produce for those blocks); with nil they are recorded
+// into the executor's scratch and discarded. The recorded events are a
+// pure function of the launch geometry and array layout, never of the
+// floating-point data (kernels contain no data-dependent control flow,
+// and Global arrays are 512-byte aligned so the coalescing pattern is
+// base-independent), which is what makes record-once sound: a pipeline
+// records a geometry once and its Stats describe every later solve.
 type Executor struct {
 	dev     *Device
 	blk     Block
@@ -37,23 +34,15 @@ func NewExecutor(d *Device) *Executor {
 	return &Executor{dev: d}
 }
 
-// RunBlocks executes blocks [first, first+count) of a launch whose
+// RunBlocksCtx executes blocks [first, first+count) of a launch whose
 // blocks have threadsPerBlock threads each, invoking kern once per
-// block exactly as Launch does. When record is true the events are
-// accumulated into st (which must be non-nil) via Stats.Accumulate —
-// launch-header fields (Kernel, Launches, Blocks, ThreadsPerBlock) are
-// the caller's responsibility. When record is false st may be nil and
-// no events are recorded.
+// block exactly as Launch does. A non-nil st accumulates the events via
+// Stats.Accumulate — launch-header fields (Kernel, Launches, Blocks,
+// ThreadsPerBlock) are the caller's responsibility. A block that
+// allocates more shared memory than an SM holds fails the run with the
+// same error Launch reports.
 //
-// The error is the same per-SM shared-memory capacity check Launch
-// performs, evaluated per block; it can only trip while recording
-// (a replayed geometry was already validated when it was recorded).
-func (e *Executor) RunBlocks(st *Stats, threadsPerBlock, first, count int, record bool, kern Kernel) error {
-	return e.RunBlocksCtx(nil, st, threadsPerBlock, first, count, record, kern, FaultSite{})
-}
-
-// RunBlocksCtx is RunBlocks with cooperative cancellation and fault
-// injection. A non-nil ctx is checked between blocks: once it is done,
+// A non-nil ctx is checked between blocks: once it is done,
 // execution stops promptly and ctx.Err() is returned, with every block
 // either fully executed or never started. When site.Inj is non-nil,
 // each block consults the injector at (site.Kernel, block, site.Attempt)
@@ -62,12 +51,11 @@ func (e *Executor) RunBlocks(st *Stats, threadsPerBlock, first, count int, recor
 // executed with poisoned stores. Blocks before the faulted one keep
 // their writes — the partial-output hazard the caller's retry repairs
 // by re-running the whole range.
-func (e *Executor) RunBlocksCtx(ctx context.Context, st *Stats, threadsPerBlock, first, count int, record bool, kern Kernel, site FaultSite) error {
+func (e *Executor) RunBlocksCtx(ctx context.Context, st *Stats, threadsPerBlock, first, count int, kern Kernel, site FaultSite) error {
 	b := &e.blk
 	b.Threads = threadsPerBlock
 	b.dev = e.dev
 	b.stats = &e.scratch
-	b.norec = !record
 	for id := first; id < first+count; id++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -92,14 +80,13 @@ func (e *Executor) RunBlocksCtx(ctx context.Context, st *Stats, threadsPerBlock,
 			b.corrupt = nil
 			return &LaunchError{Kernel: site.Kernel, Block: id, Kind: FaultCorrupt, Attempt: site.Attempt}
 		}
-		if !record {
-			continue
-		}
 		if e.scratch.SharedPerBlock > e.dev.SharedMemPerSM {
 			return fmt.Errorf("gpusim: block %d allocated %d bytes shared memory, device SM has %d",
 				id, e.scratch.SharedPerBlock, e.dev.SharedMemPerSM)
 		}
-		st.Accumulate(&e.scratch)
+		if st != nil {
+			st.Accumulate(&e.scratch)
+		}
 	}
 	return nil
 }

@@ -33,10 +33,7 @@ func (s *slotState) flush() {
 
 // record registers one global-memory access by thread t of element i
 // of the array at base with the given element size, running the
-// coalescing analysis. The norec guard lives in the inlined Load/Store
-// wrappers (kept deliberately tiny — the address arithmetic happens
-// here, on the recording path), so a replaying kernel pays one
-// predictable branch per element instead of a function call.
+// coalescing analysis.
 func (b *Block) record(t *Thread, base, elem int64, i int, store bool) {
 	addr := base + int64(i)*elem
 	bytes := int(elem)
@@ -116,18 +113,14 @@ func NewGlobal[T num.Real](data []T) Global[T] {
 
 // Load reads element i, recording a coalesced global load.
 func (g Global[T]) Load(t *Thread, i int) T {
-	if !t.blk.norec {
-		t.blk.record(t, g.base, g.elem, i, false)
-	}
+	t.blk.record(t, g.base, g.elem, i, false)
 	return g.Data[i]
 }
 
 // Store writes element i, recording a coalesced global store. A block
 // armed with a corrupt fault (see Injector) poisons selected stores.
 func (g Global[T]) Store(t *Thread, i int, v T) {
-	if !t.blk.norec {
-		t.blk.record(t, g.base, g.elem, i, true)
-	}
+	t.blk.record(t, g.base, g.elem, i, true)
 	if t.blk.corrupt != nil {
 		v = corruptStore(t.blk, v)
 	}

@@ -31,10 +31,12 @@ var (
 //
 // The simulated device events recorded in Stats are a pure function of
 // the shape and configuration, not of the coefficient values, so the
-// Solver records them on its first solve only; later solves replay the
-// data arithmetic with event recording disabled (sharded across a
-// bounded worker pool, see WithWorkers) and reuse the cached Stats.
-// Results are bitwise identical to the one-shot SolveBatch either way.
+// Solver runs the simulator on its first solve only, to record them;
+// later solves run the kernels' arithmetic as plain loops (sharded
+// across a bounded worker pool, see WithWorkers) and reuse the cached
+// Stats. Results are bitwise identical to the one-shot SolveBatch
+// either way. A device with a fault injector armed keeps every solve
+// on the simulated kernels.
 //
 // A Solver is not safe for concurrent use: overlapping calls return
 // ErrSolverBusy (never corrupt state). Distinct Solvers are
